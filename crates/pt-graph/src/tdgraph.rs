@@ -40,13 +40,14 @@ pub struct Edge {
 /// walks homogeneous lanes (head index + raw weight seconds, or head index
 /// + PLF index) with no per-edge enum dispatch.
 ///
-/// The view is topology-shaped: [`TdGraph::repatch_routes`] rewrites PLF
+/// The view is topology-shaped: a repatch of FIFO routes rewrites PLF
 /// *contents* only, never heads, weights or PLF indices, so the view stays
-/// valid across delay/feed patches and lives inside the refcount-shared
-/// `Topology`. The one patch-tracking scalar — the maximum PLF duration —
+/// valid across such patches and lives inside the refcount-shared
+/// `Topology`; splicing refit routes in re-flattens it along with the
+/// adjacency. The one patch-tracking scalar — the maximum PLF duration —
 /// lives on [`TdGraph`] itself (see [`TdGraph::max_edge_span_secs`]), where
 /// it can grow monotonically without unsharing the topology.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EdgeKindCsr {
     const_first: Vec<u32>,
     const_head: Vec<u32>,
@@ -108,11 +109,12 @@ impl EdgeKindCsr {
     }
 }
 
-/// Everything about the graph a delay/feed patch can never change: nodes,
-/// edge topology, transfer weights, the kind-grouped CSR view. One `Arc`
-/// of this is shared by refcount across every snapshot of the graph —
-/// cloning a [`TdGraph`] never copies it.
-#[derive(Debug, Clone)]
+/// Everything about the graph a FIFO-preserving patch never changes:
+/// nodes, edge topology, transfer weights, the kind-grouped CSR view. One
+/// `Arc` of this is shared by refcount across every snapshot of the graph —
+/// cloning a [`TdGraph`] never copies it. Only splicing in refit routes
+/// replaces it, with a copy that extends the old one.
+#[derive(Debug, Clone, PartialEq)]
 struct Topology {
     first_edge: Vec<u32>,
     edges: Vec<Edge>,
@@ -121,8 +123,9 @@ struct Topology {
     /// For route nodes (offset by `num_stations`): `(route, stop index)`.
     route_node_info: Vec<(pt_core::RouteId, u16)>,
     /// First route node of each route (route nodes are contiguous per
-    /// route) — the anchor [`TdGraph::repatch`] needs to find a route's
-    /// hop edges without a search.
+    /// route) — the anchor [`TdGraph::repatch_routes`] needs to find a
+    /// route's hop edges without a search. Its length is the number of
+    /// routes the graph holds.
     route_first_node: Vec<NodeId>,
     /// `T(S)` per station (copied out of the timetable for cache locality).
     transfer: Vec<Dur>,
@@ -135,9 +138,10 @@ struct Topology {
 /// Split for copy-on-write publishing: the immutable `Topology` is one
 /// shared `Arc`; the hop PLFs are individually `Arc`-shared and a
 /// [`TdGraph::repatch_routes`] *replaces* exactly the touched routes' hop
-/// PLFs (every other PLF stays physically shared with older snapshots);
-/// `conn_start` copies-on-first-touch after a clone. A clone is therefore
-/// O(#PLFs) refcount bumps, never a copy of the adjacency.
+/// PLFs and appends those of spliced routes (every other PLF stays
+/// physically shared with older snapshots); `conn_start` copies-on-first-touch
+/// after a clone. A clone is therefore O(#PLFs) refcount bumps, never a
+/// copy of the adjacency.
 #[derive(Debug, Clone)]
 pub struct TdGraph {
     period: Period,
@@ -154,96 +158,31 @@ pub struct TdGraph {
 }
 
 impl TdGraph {
-    /// Builds the graph from a timetable and its route partition.
+    /// Builds the graph from a timetable and its route partition: the
+    /// station nodes alone, then every route spliced in as by
+    /// [`TdGraph::repatch_routes`].
     pub fn build(tt: &Timetable, routes: &Routes) -> TdGraph {
-        let period = tt.period();
         let ns = tt.num_stations();
-        let mut node_station: Vec<StationId> = (0..ns as u32).map(StationId).collect();
-
-        // Route nodes, contiguous per route.
-        let mut route_first_node: Vec<NodeId> = Vec::with_capacity(routes.len());
-        let mut route_node_info: Vec<(pt_core::RouteId, u16)> = Vec::new();
-        for (ri, r) in routes.iter_routes().enumerate() {
-            route_first_node.push(NodeId::from_idx(node_station.len()));
-            node_station.extend(r.stations.iter().copied());
-            route_node_info
-                .extend((0..r.stations.len()).map(|j| (pt_core::RouteId::from_idx(ri), j as u16)));
-        }
-        let num_nodes = node_station.len();
-
-        let mut adj: Vec<Vec<Edge>> = vec![Vec::new(); num_nodes];
-        let mut plfs: Vec<Plf> = Vec::new();
-        for (ri, r) in routes.iter_routes().enumerate() {
-            let base = route_first_node[ri].idx();
-            for (j, &s) in r.stations.iter().enumerate() {
-                let rn = NodeId::from_idx(base + j);
-                // Board / alight edges.
-                adj[s.idx()]
-                    .push(Edge { head: rn, weight: EdgeWeight::Const(tt.transfer_time(s)) });
-                adj[rn.idx()]
-                    .push(Edge { head: NodeId(s.0), weight: EdgeWeight::Const(Dur::ZERO) });
-            }
-            // Route edges with one PLF per hop.
-            for hop in 0..r.num_hops() {
-                let points: Vec<PlfPoint> = r
-                    .trains
-                    .iter()
-                    .map(|&t| {
-                        let c = tt.connection(routes.connection_at(t, hop));
-                        PlfPoint::new(c.dep, c.dur())
-                    })
-                    .collect();
-                let expected = points.len();
-                let plf = Plf::from_points(points, period);
-                debug_assert_eq!(plf.len(), expected, "route partition produced a non-FIFO hop");
-                let idx = plfs.len() as u32;
-                plfs.push(plf);
-                adj[base + hop].push(Edge {
-                    head: NodeId::from_idx(base + hop + 1),
-                    weight: EdgeWeight::Td(idx),
-                });
-            }
-        }
-
-        // Flatten to CSR.
-        let mut first_edge = Vec::with_capacity(num_nodes + 1);
-        let mut edges = Vec::with_capacity(adj.iter().map(Vec::len).sum());
-        first_edge.push(0u32);
-        for a in &adj {
-            edges.extend_from_slice(a);
-            first_edge.push(edges.len() as u32);
-        }
-
-        // Start node of each connection: route node of (route(train), seq).
-        let conn_start: Vec<NodeId> = tt
-            .connections()
-            .iter()
-            .map(|c| {
-                let r = routes.route_of(c.train);
-                NodeId::from_idx(route_first_node[r.idx()].idx() + c.seq as usize)
-            })
-            .collect();
-
-        let transfer = (0..ns).map(|s| tt.transfer_time(StationId(s as u32))).collect();
-        let kinds = EdgeKindCsr::build(&first_edge, &edges);
-        let max_td_secs = plfs.iter().map(|p| p.max_dur().secs()).max().unwrap_or(0);
-
-        TdGraph {
-            period,
+        let first_edge = vec![0u32; ns + 1];
+        let kinds = EdgeKindCsr::build(&first_edge, &[]);
+        let mut g = TdGraph {
+            period: tt.period(),
             num_stations: ns as u32,
             topo: Arc::new(Topology {
                 first_edge,
-                edges,
-                node_station,
-                route_node_info,
-                route_first_node,
-                transfer,
+                edges: Vec::new(),
+                node_station: (0..ns as u32).map(StationId).collect(),
+                route_node_info: Vec::new(),
+                route_first_node: Vec::new(),
+                transfer: (0..ns).map(|s| tt.transfer_time(StationId(s as u32))).collect(),
                 kinds,
             }),
-            plfs: plfs.into_iter().map(Arc::new).collect(),
-            conn_start: Arc::new(conn_start),
-            max_td_secs,
-        }
+            plfs: Vec::new(),
+            conn_start: Arc::new(vec![NodeId(u32::MAX); tt.num_connections()]),
+            max_td_secs: 0,
+        };
+        g.append_routes(tt, routes);
+        g
     }
 
     /// Incrementally follows a [`Timetable::patch_delay`]: updates the
@@ -254,9 +193,9 @@ impl TdGraph {
     ///
     /// `routes` must already be [`Routes::repatch`]ed, and the delayed
     /// route must still pass [`Routes::route_is_fifo`] — when it does not,
-    /// the route partition itself is stale and the graph must be rebuilt
-    /// with [`TdGraph::build`] instead (a delay that makes one train
-    /// overtake another changes which trains may share route edges).
+    /// [`Routes::refit`] it and follow with [`TdGraph::repatch_routes`]
+    /// instead (a delay that makes one train overtake another changes which
+    /// trains may share route edges).
     pub fn repatch(&mut self, tt: &Timetable, routes: &Routes, train: TrainId, patch: &DelayPatch) {
         if !patch.changed {
             return;
@@ -265,12 +204,18 @@ impl TdGraph {
     }
 
     /// The multi-route form of [`TdGraph::repatch`], following a
-    /// [`Timetable::patch_feed`]: applies the feed's merged `ConnId` remap
-    /// to `conn_start` once, then rewrites the hop PLFs of each route in
-    /// `touched` exactly once — however many feed events hit the route. All
-    /// routes must already be [`Routes::repatch_feed`]ed and pass
-    /// [`Routes::route_is_fifo`]; send non-FIFO routes through
-    /// [`Routes::refit`] + [`TdGraph::build`] instead.
+    /// [`Timetable::patch_feed`] and any [`Routes::refit`]: applies the
+    /// feed's merged `ConnId` remap to `conn_start` once, rewrites the hop
+    /// PLFs of each route in `touched` exactly once — however many feed
+    /// events hit the route — and splices in the routes a refit appended
+    /// (ids from the graph's route count up to `routes.len()`).
+    ///
+    /// All routes must already be [`Routes::repatch_feed`]ed and pass
+    /// [`Routes::route_is_fifo`], and `routes` must extend the partition
+    /// the graph was built on: same ids for the old routes, new ones
+    /// appended — exactly what a refit produces. The result then equals
+    /// [`TdGraph::build`] on `routes` field for field, except the span
+    /// bound, which only grows.
     pub fn repatch_routes(
         &mut self,
         tt: &Timetable,
@@ -292,21 +237,13 @@ impl TdGraph {
 
         // Rebuild the PLF of every hop of each touched route, *replacing*
         // the arena entry so snapshots sharing the old PLF are untouched.
-        for &r in touched {
+        // Routes the graph does not have yet get theirs when appended.
+        let known = self.topo.route_first_node.len();
+        for &r in touched.iter().filter(|r| r.idx() < known) {
             let info = routes.route(r);
             let base = self.topo.route_first_node[r.idx()].idx();
             for hop in 0..info.num_hops() {
-                let points: Vec<PlfPoint> = info
-                    .trains
-                    .iter()
-                    .map(|&t| {
-                        let c = tt.connection(routes.connection_at(t, hop));
-                        PlfPoint::new(c.dep, c.dur())
-                    })
-                    .collect();
-                let expected = points.len();
-                let plf = Plf::from_points(points, self.period);
-                debug_assert_eq!(plf.len(), expected, "repatch on a non-FIFO route");
+                let plf = hop_plf(tt, &info.trains, hop);
                 let lo = self.topo.first_edge[base + hop] as usize;
                 let hi = self.topo.first_edge[base + hop + 1] as usize;
                 let idx = self.topo.edges[lo..hi]
@@ -323,6 +260,96 @@ impl TdGraph {
                 self.plfs[idx as usize] = Arc::new(plf);
             }
         }
+        self.append_routes(tt, routes);
+    }
+
+    /// Splices the routes `routes[known..]` into the graph, where `known`
+    /// is the graph's route count. Their route nodes follow every existing
+    /// node and their PLFs every existing PLF; each station node's board
+    /// edges to them follow its existing edges, so the new adjacency and
+    /// kind lanes are the old ones re-flattened by copying. `conn_start`
+    /// is written for the new routes' trains only — the trains that moved.
+    fn append_routes(&mut self, tt: &Timetable, routes: &Routes) {
+        let known = self.topo.route_first_node.len();
+        debug_assert!(routes.len() >= known, "routes must extend the graph's partition");
+        if routes.len() == known {
+            return;
+        }
+        let ns = self.num_stations();
+        let old = &*self.topo;
+        let mut node_station = old.node_station.clone();
+        let mut route_node_info = old.route_node_info.clone();
+        let mut route_first_node = old.route_first_node.clone();
+        // Board edges of the new routes as (station, edge), and the edges
+        // of the new route nodes (alight, then the hop edge) in node order.
+        let mut boards: Vec<(StationId, Edge)> = Vec::new();
+        let mut tail_edges: Vec<Edge> = Vec::new();
+        let mut tail_first: Vec<u32> = Vec::new();
+        let conn_start = Arc::make_mut(&mut self.conn_start);
+        for r in known..routes.len() {
+            let id = pt_core::RouteId::from_idx(r);
+            let info = routes.route(id);
+            let base = node_station.len();
+            route_first_node.push(NodeId::from_idx(base));
+            node_station.extend(info.stations.iter().copied());
+            route_node_info.extend((0..info.stations.len()).map(|j| (id, j as u16)));
+            for (j, &s) in info.stations.iter().enumerate() {
+                let rn = NodeId::from_idx(base + j);
+                boards.push((s, Edge { head: rn, weight: EdgeWeight::Const(tt.transfer_time(s)) }));
+                tail_edges.push(Edge { head: NodeId(s.0), weight: EdgeWeight::Const(Dur::ZERO) });
+                if j < info.num_hops() {
+                    let plf = hop_plf(tt, &info.trains, j);
+                    self.max_td_secs = self.max_td_secs.max(plf.max_dur().secs());
+                    tail_edges.push(Edge {
+                        head: NodeId::from_idx(base + j + 1),
+                        weight: EdgeWeight::Td(self.plfs.len() as u32),
+                    });
+                    self.plfs.push(Arc::new(plf));
+                }
+                tail_first.push(tail_edges.len() as u32);
+            }
+            // Start node of each connection: route node of (route, hop).
+            for &t in &info.trains {
+                for (h, &c) in tt.train_connections(t).iter().enumerate() {
+                    conn_start[c.idx()] = NodeId::from_idx(base + h);
+                }
+            }
+        }
+        // Stable: a station's board edges stay in (route, stop) order.
+        boards.sort_by_key(|&(s, _)| s);
+
+        let num_nodes = node_station.len();
+        let mut first_edge: Vec<u32> = Vec::with_capacity(num_nodes + 1);
+        let mut edges: Vec<Edge> =
+            Vec::with_capacity(old.edges.len() + boards.len() + tail_edges.len());
+        first_edge.push(0);
+        let mut next = boards.iter().peekable();
+        for v in 0..ns {
+            let (lo, hi) = (old.first_edge[v] as usize, old.first_edge[v + 1] as usize);
+            edges.extend_from_slice(&old.edges[lo..hi]);
+            while let Some(&(_, e)) = next.next_if(|(s, _)| s.idx() == v) {
+                edges.push(e);
+            }
+            first_edge.push(edges.len() as u32);
+        }
+        // Existing route nodes keep their edges, shifted by the boards.
+        let shift = boards.len() as u32;
+        edges.extend_from_slice(&old.edges[old.first_edge[ns] as usize..]);
+        first_edge.extend(old.first_edge[ns + 1..].iter().map(|&f| f + shift));
+        let tail_base = edges.len() as u32;
+        edges.extend_from_slice(&tail_edges);
+        first_edge.extend(tail_first.iter().map(|&f| tail_base + f));
+
+        let kinds = EdgeKindCsr::build(&first_edge, &edges);
+        self.topo = Arc::new(Topology {
+            first_edge,
+            edges,
+            node_station,
+            route_node_info,
+            route_first_node,
+            transfer: old.transfer.clone(),
+            kinds,
+        });
     }
 
     /// The edge-kind-grouped CSR view for the SoA kernels.
@@ -472,6 +499,22 @@ impl TdGraph {
     pub fn num_plf_points(&self) -> usize {
         self.plfs.iter().map(|p| p.len()).sum()
     }
+}
+
+/// The PLF of one hop of a route whose trains, in order, are `trains`:
+/// one connection point per train.
+fn hop_plf(tt: &Timetable, trains: &[TrainId], hop: usize) -> Plf {
+    let points: Vec<PlfPoint> = trains
+        .iter()
+        .map(|&t| {
+            let c = tt.connection(tt.train_connections(t)[hop]);
+            PlfPoint::new(c.dep, c.dur())
+        })
+        .collect();
+    let expected = points.len();
+    let plf = Plf::from_points(points, tt.period());
+    debug_assert_eq!(plf.len(), expected, "a non-FIFO route reached the graph");
+    plf
 }
 
 #[cfg(test)]
@@ -689,6 +732,92 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Field-for-field equality with a fresh build on the same partition,
+    /// except the span bound, which a patched graph may only overstate;
+    /// and, independently of the build, every connection starts at the
+    /// route node of its train's route and hop.
+    fn assert_matches_build(g: &TdGraph, tt: &Timetable, routes: &Routes) {
+        let fresh = TdGraph::build(tt, routes);
+        assert_eq!(g.period, fresh.period);
+        assert_eq!(g.num_stations, fresh.num_stations);
+        assert_eq!(*g.topo, *fresh.topo, "topology differs from a fresh build");
+        assert_eq!(g.plfs, fresh.plfs, "PLF arena differs from a fresh build");
+        assert_eq!(g.conn_start, fresh.conn_start, "conn_start differs from a fresh build");
+        assert!(g.max_td_secs >= fresh.max_td_secs);
+        for i in 0..tt.num_connections() {
+            let c = tt.connection(ConnId::from_idx(i));
+            let start = g.conn_start_node(ConnId::from_idx(i));
+            assert_eq!(g.route_node_info(start), Some((routes.route_of(c.train), c.seq)), "{i}");
+        }
+    }
+
+    /// Follows a feed the way `Network::apply_feed` does: repatch the
+    /// routes, refit the offending ones, then one graph call.
+    fn follow_feed(
+        tt: &mut Timetable,
+        routes: &mut Routes,
+        g: &mut TdGraph,
+        events: &[pt_timetable::DelayEvent],
+    ) -> Vec<pt_core::RouteId> {
+        let patch = tt.patch_feed(events);
+        assert!(patch.changed);
+        let touched = routes.repatch_feed(tt, &patch);
+        let offending: Vec<_> =
+            touched.iter().copied().filter(|&r| !routes.route_is_fifo(tt, r)).collect();
+        routes.refit(tt, &offending);
+        g.repatch_routes(tt, routes, &touched, &patch.remapped);
+        offending
+    }
+
+    #[test]
+    fn spliced_refit_routes_equal_a_fresh_build() {
+        use pt_core::TrainId;
+        use pt_timetable::{DelayEvent, Recovery};
+        let delay = |t: u32, min: u32| DelayEvent::Delay {
+            train: TrainId(t),
+            from_hop: 0,
+            delay: Dur::minutes(min),
+            recovery: Recovery::None,
+        };
+        let mut b = TimetableBuilder::new(Period::DAY);
+        let s: Vec<_> =
+            (0..5).map(|i| b.add_named_station(format!("{i}"), Dur::minutes(1 + i))).collect();
+        let legs = [Dur::minutes(10), Dur::minutes(10)];
+        // Route A: trains 0/1/2 on 0→1→2. Route B: trains 3/4 on 3→1→4.
+        // Route C: trains 5/6 on 4→0. A bystander, train 7 on 2→3.
+        for m in [0, 30, 60] {
+            b.add_simple_trip(&[s[0], s[1], s[2]], Time::hm(8, m), &legs, Dur::ZERO).unwrap();
+        }
+        for m in [0, 20] {
+            b.add_simple_trip(&[s[3], s[1], s[4]], Time::hm(8, m), &legs, Dur::ZERO).unwrap();
+        }
+        for h in [10, 11] {
+            b.add_simple_trip(&[s[4], s[0]], Time::hm(h, 0), &legs[..1], Dur::ZERO).unwrap();
+        }
+        b.add_simple_trip(&[s[2], s[3]], Time::hm(7, 0), &legs[..1], Dur::ZERO).unwrap();
+        let mut tt = b.build().unwrap();
+        let mut routes = Routes::partition(&tt);
+        let mut g = TdGraph::build(&tt, &routes);
+        let (routes_before, nodes_before) = (routes.len(), g.num_nodes());
+
+        // One feed, two offending routes: trains 0 and 3 land on their
+        // successors' slots (equal departures), while route C stays FIFO.
+        let offending =
+            follow_feed(&mut tt, &mut routes, &mut g, &[delay(0, 30), delay(3, 20), delay(5, 5)]);
+        assert_eq!(offending.len(), 2, "routes A and B lose FIFO");
+        assert!(routes.len() > routes_before, "the refit appended subroutes");
+        assert!(g.num_nodes() > nodes_before, "the splice appended route nodes");
+        assert_matches_build(&g, &tt, &routes);
+
+        // A FIFO repatch of an appended route: train 1 was split off route
+        // A onto a fresh id, and a small delay keeps it FIFO.
+        let appended = routes.route_of(TrainId(1));
+        assert!(appended.idx() >= routes_before);
+        let offending = follow_feed(&mut tt, &mut routes, &mut g, &[delay(1, 5)]);
+        assert!(offending.is_empty());
+        assert_matches_build(&g, &tt, &routes);
     }
 
     #[test]

@@ -27,8 +27,8 @@ const FEED_LOG_CAP: usize = 64;
 
 /// Scoped refits accumulate extra routes; once they exceed this floor
 /// *and* an eighth of the partition, the next overtaking fallback runs a
-/// full [`Routes::partition`] instead, re-coalescing every split (including
-/// those whose delays were since cancelled) at the same graph-rebuild cost.
+/// full [`Routes::partition`] and [`TdGraph::build`] instead, re-coalescing
+/// every split (including those whose delays were since cancelled).
 const REFIT_HEAL_FLOOR: usize = 16;
 
 /// How [`Network::apply_delay`] serviced an update — the fully dynamic
@@ -44,8 +44,10 @@ pub enum DelayUpdate {
     Patched,
     /// The delay made the route partition stale (a train now overtakes a
     /// companion on its route, or departures collide): the offending route
-    /// was re-split ([`Routes::refit`]) and the time-dependent graph
-    /// rebuilt from the patched timetable.
+    /// was re-split ([`Routes::refit`]) and its new subroutes spliced into
+    /// the time-dependent graph ([`TdGraph::repatch_routes`]). Node and
+    /// edge counts grow, so warm engine workspaces resize on their next
+    /// query.
     Rebuilt,
 }
 
@@ -64,10 +66,12 @@ pub struct FeedSummary {
     /// Distinct routes carrying a net-changed train.
     pub touched_routes: usize,
     /// Touched routes that stayed FIFO and were rewritten in place — each
-    /// exactly once ([`TdGraph::repatch_routes`]).
+    /// exactly once ([`TdGraph::repatch_routes`]), whether or not other
+    /// routes of the feed were refit.
     pub repatched_routes: usize,
     /// Touched routes that lost FIFO and were re-split in place
-    /// ([`Routes::refit`]); non-zero means the graph was rebuilt once.
+    /// ([`Routes::refit`]); their new subroutes were spliced into the
+    /// graph. `repatched_routes + refit_routes == touched_routes`.
     pub refit_routes: usize,
     /// Departure stations of every net-changed connection, sorted and
     /// deduplicated. Informational — the network records the same data per
@@ -85,7 +89,9 @@ impl FeedSummary {
         self.touched_routes > 0
     }
 
-    /// `true` iff the overtaking fallback ran (graph rebuilt once).
+    /// `true` iff the overtaking fallback ran: at least one route was
+    /// re-split and the graph's route topology changed (see
+    /// [`DelayUpdate::Rebuilt`]).
     pub fn rebuilt(&self) -> bool {
         self.refit_routes > 0
     }
@@ -179,10 +185,11 @@ impl Network {
     /// timetable is patched in place ([`Timetable::patch_delay`]) and the
     /// derived structures follow incrementally where possible:
     ///
-    /// * [`Routes`] rewrite their remapped connection ids,
-    /// * if the delayed route is still FIFO, [`TdGraph::repatch`] rewrites
-    ///   only the route's hop PLFs ([`DelayUpdate::Patched`]); otherwise
-    ///   routes and graph are rebuilt ([`DelayUpdate::Rebuilt`]),
+    /// * [`Routes`] restore the train order of the delayed route,
+    /// * if the delayed route is still FIFO, [`TdGraph::repatch_routes`]
+    ///   rewrites only the route's hop PLFs ([`DelayUpdate::Patched`]);
+    ///   otherwise the route is re-split and the split spliced into the
+    ///   graph ([`DelayUpdate::Rebuilt`]),
     /// * the station graph is invariant (delays shift times, never
     ///   durations or the edge set) and is always kept.
     ///
@@ -216,15 +223,17 @@ impl Network {
     ///   bucket once and bumps the generation **once** (so
     ///   generation-keyed caches are invalidated once per feed, not once
     ///   per event),
-    /// * [`Routes::repatch_feed`] follows the merged remap and returns the
-    ///   touched routes, each exactly once,
-    /// * touched routes that kept the FIFO property are rewritten in place
-    ///   by [`TdGraph::repatch_routes`] — **at most one repatch per touched
-    ///   route** regardless of how many events hit it,
+    /// * [`Routes::repatch_feed`] restores the train order of the touched
+    ///   routes and returns them, each exactly once,
     /// * the overtaking fallback is scoped to the offending routes: only
-    ///   they are re-split ([`Routes::refit`]); the graph is then rebuilt
-    ///   once (route-node topology changed), every other route keeping its
-    ///   trains,
+    ///   they are re-split ([`Routes::refit`]), every other route keeping
+    ///   its id and trains,
+    /// * one [`TdGraph::repatch_routes`] call then rewrites the PLFs of
+    ///   every touched route — **at most once per route** regardless of how
+    ///   many events hit it — and splices the refit's new subroutes into
+    ///   the graph in place; only the amortized heal, once accumulated
+    ///   splits exceed an eighth of the routes, re-partitions and rebuilds
+    ///   the graph,
     /// * the station graph is invariant (delays and cancellations shift
     ///   times, never durations or the edge set) and is always kept.
     ///
@@ -261,27 +270,25 @@ impl Network {
             })
             .collect();
 
-        if offending.is_empty() {
-            self.graph.repatch_routes(&self.timetable, &self.routes, &fifo, &patch.remapped);
-        } else {
-            // Scoped fallback: re-split only the offending routes, then
-            // rebuild the graph (its route-node topology changed). The
-            // still-FIFO touched routes are covered by the rebuild too.
-            let routes_before = self.routes.len();
-            self.routes.refit(&self.timetable, &offending);
-            self.refit_extra_routes += self.routes.len() - routes_before;
-            // Scoped refits only ever split; nothing re-merges trains whose
-            // delays were later cancelled, so a long-lived stream would
-            // fragment the partition monotonically. Heal by amortization:
-            // once the accumulated splits are substantial, spend one full
-            // partition here — the graph is being rebuilt anyway.
-            if self.refit_extra_routes >= REFIT_HEAL_FLOOR
-                && self.refit_extra_routes * 8 > self.routes.len()
-            {
-                self.routes = Routes::partition(&self.timetable);
-                self.refit_extra_routes = 0;
-            }
+        // Scoped fallback: re-split only the offending routes. The first
+        // subroute keeps the stale id and the rest are appended, so the
+        // graph follows in place below.
+        let routes_before = self.routes.len();
+        self.routes.refit(&self.timetable, &offending);
+        self.refit_extra_routes += self.routes.len() - routes_before;
+        // Scoped refits only ever split; nothing re-merges trains whose
+        // delays were later cancelled, so a long-lived stream would
+        // fragment the partition monotonically. Heal by amortization: once
+        // the accumulated splits are substantial, spend one full partition
+        // and graph build.
+        if self.refit_extra_routes >= REFIT_HEAL_FLOOR
+            && self.refit_extra_routes * 8 > self.routes.len()
+        {
+            self.routes = Routes::partition(&self.timetable);
+            self.refit_extra_routes = 0;
             self.graph = TdGraph::build(&self.timetable, &self.routes);
+        } else {
+            self.graph.repatch_routes(&self.timetable, &self.routes, &touched, &patch.remapped);
         }
         self.feed_log.push((self.generation(), patch.touched_stations.clone().into()));
         if self.feed_log.len() > FEED_LOG_CAP {
@@ -290,7 +297,7 @@ impl Network {
         FeedSummary {
             events: events_out,
             touched_routes: touched.len(),
-            repatched_routes: if offending.is_empty() { fifo.len() } else { 0 },
+            repatched_routes: fifo.len(),
             refit_routes: offending.len(),
             touched_stations: patch.touched_stations,
         }

@@ -99,6 +99,13 @@ pub enum TimetableError {
         /// The train whose trip is too short.
         train: TrainId,
     },
+    /// A connection names a train outside `0..num_trains`.
+    UnknownTrain {
+        /// Index of the offending connection in construction order.
+        conn: usize,
+        /// The out-of-range train.
+        train: TrainId,
+    },
 }
 
 impl fmt::Display for TimetableError {
@@ -124,6 +131,9 @@ impl fmt::Display for TimetableError {
             }
             TimetableError::TripTooShort { train } => {
                 write!(f, "trip of train {train} has fewer than two stops")
+            }
+            TimetableError::UnknownTrain { conn, train } => {
+                write!(f, "connection {conn} references unknown train {train}")
             }
         }
     }
@@ -171,6 +181,11 @@ struct Bucket {
 /// timetable** — patches permute connections *within* a bucket only (a
 /// connection's departure station never changes), which is what makes the
 /// per-bucket copy-on-write sound.
+///
+/// Alongside the buckets, the timetable keeps a per-train index: train
+/// `t`'s [`ConnId`]s in hop order ([`Timetable::train_connections`]). Patches
+/// keep it current as they renumber connections, so finding a train's
+/// connections never scans the buckets.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Timetable {
     period: Period,
@@ -186,6 +201,10 @@ pub struct Timetable {
     /// Departure station of each global [`ConnId`] (the inverse of
     /// `first_out`'s ranges). Immutable after validation.
     conn_station: Arc<Vec<StationId>>,
+    /// Connections of each train ordered by hop index, indexed by
+    /// [`TrainId`]. Each list is shared (`Arc`) like the buckets, so a patch
+    /// copies only the lists of trains whose connections it renumbers.
+    train_conns: Vec<Arc<Vec<ConnId>>>,
     /// Monotonically-increasing update stamp, bumped by every in-place
     /// mutation ([`Timetable::patch_delay`], [`Timetable::patch_feed`]) that
     /// changes at least one connection time. Query caches key on it: a
@@ -221,6 +240,9 @@ impl Timetable {
             if c.from == c.to {
                 return Err(TimetableError::SelfLoop { conn: i, station: c.from });
             }
+            if c.train.0 >= num_trains {
+                return Err(TimetableError::UnknownTrain { conn: i, train: c.train });
+            }
         }
         conns.sort_unstable_by_key(|c| (c.from, c.dep, c.train, c.seq));
         let mut first_out = vec![0u32; stations.len() + 1];
@@ -231,6 +253,13 @@ impl Timetable {
             first_out[i] += first_out[i - 1];
         }
         let conn_station: Vec<StationId> = conns.iter().map(|c| c.from).collect();
+        let mut train_conns: Vec<Vec<ConnId>> = vec![Vec::new(); num_trains as usize];
+        for (i, c) in conns.iter().enumerate() {
+            train_conns[c.train.idx()].push(ConnId::from_idx(i));
+        }
+        for ids in &mut train_conns {
+            ids.sort_by_key(|c| conns[c.idx()].seq);
+        }
         let buckets = (0..stations.len())
             .map(|s| {
                 let (lo, hi) = (first_out[s] as usize, first_out[s + 1] as usize);
@@ -246,6 +275,7 @@ impl Timetable {
             buckets,
             first_out: Arc::new(first_out),
             conn_station: Arc::new(conn_station),
+            train_conns: train_conns.into_iter().map(Arc::new).collect(),
             generation: 0,
         })
     }
@@ -308,6 +338,9 @@ impl Timetable {
     /// [`Timetable::patch_cancel`] calls would), connections are rewritten
     /// once with their *net* new times, each touched `conn(S)` bucket is
     /// re-sorted once, and a single merged [`ConnId`] remap is returned.
+    /// The feed's trains are found through the per-train index, so the cost
+    /// is proportional to the trains and buckets the feed touches, not to
+    /// `|C|`.
     ///
     /// Bumps [`Timetable::generation`] **once** iff at least one connection
     /// ended up with a different time than before the feed — a feed whose
@@ -321,18 +354,29 @@ impl Timetable {
         let mut feed_trains: Vec<TrainId> = events.iter().map(DelayEvent::train).collect();
         feed_trains.sort_unstable();
         feed_trains.dedup();
-        let slot_of = |t: TrainId| feed_trains.binary_search(&t).ok();
+        // Connection indices of every train the feed mentions, from the
+        // per-train index (a train out of range has none).
+        let train_conns: Vec<Vec<usize>> = feed_trains
+            .iter()
+            .map(|t| {
+                self.train_conns
+                    .get(t.idx())
+                    .map_or_else(Vec::new, |ids| ids.iter().map(|c| c.idx()).collect())
+            })
+            .collect();
+        self.patch_located(events, &feed_trains, &train_conns)
+    }
 
-        // Connection indices of every train the feed mentions (one scan).
-        let mut train_conns: Vec<Vec<usize>> = vec![Vec::new(); feed_trains.len()];
-        for (st, b) in self.buckets.iter().enumerate() {
-            let lo = self.first_out[st] as usize;
-            for (k, c) in b.conns.iter().enumerate() {
-                if let Some(s) = slot_of(c.train) {
-                    train_conns[s].push(lo + k);
-                }
-            }
-        }
+    /// The body of [`Timetable::patch_feed`] once the feed's trains are
+    /// located: `feed_trains` are the distinct trains of `events`, sorted,
+    /// and `train_conns[i]` the connection indices of `feed_trains[i]`.
+    fn patch_located(
+        &mut self,
+        events: &[DelayEvent],
+        feed_trains: &[TrainId],
+        train_conns: &[Vec<usize>],
+    ) -> FeedPatch {
+        let slot_of = |t: TrainId| feed_trains.binary_search(&t).ok();
 
         // Simulate the feed on working copies of the departure times.
         let pi = self.period.len() as u64;
@@ -414,9 +458,11 @@ impl Timetable {
 
     /// Restores per-bucket departure order after connection times moved,
     /// recording every [`ConnId`] move. The schedule times ride along so
-    /// cancellations keep working after any number of re-sorts.
+    /// cancellations keep working after any number of re-sorts, and the
+    /// per-train index follows each move in O(1).
     fn resort_buckets(&mut self, touched: &[StationId]) -> Vec<(ConnId, ConnId)> {
         let mut remapped: Vec<(ConnId, ConnId)> = Vec::new();
+        let mut moved: Vec<(Connection, ConnId, ConnId)> = Vec::new();
         for &s in touched {
             let lo = self.first_out[s.idx()] as usize;
             // The bucket was already unshared by the write-back above, so
@@ -437,8 +483,28 @@ impl Timetable {
                 b.sched[offset] = sd;
                 if old != new {
                     remapped.push((ConnId(old), ConnId(new)));
+                    moved.push((c, ConnId(old), ConnId(new)));
                 }
             }
+        }
+        // A moved connection sits at position `seq` of its train's list.
+        // Positions are all found before any is written, so a timetable
+        // whose hop numbers are not `0..k` (the fallback search) cannot
+        // confuse one move's new id with another's old one.
+        let slots: Vec<(usize, usize, ConnId)> = moved
+            .iter()
+            .map(|&(c, old, new)| {
+                let ids = &self.train_conns[c.train.idx()];
+                let pos = match ids.get(c.seq as usize) {
+                    Some(&id) if id == old => c.seq as usize,
+                    _ => ids.iter().position(|&id| id == old).expect("moved conn is indexed"),
+                };
+                (c.train.idx(), pos, new)
+            })
+            .collect();
+        for (t, pos, new) in slots {
+            // Copy-on-touch, like the buckets.
+            Arc::make_mut(&mut self.train_conns[t])[pos] = new;
         }
         remapped
     }
@@ -463,6 +529,13 @@ impl Timetable {
     #[inline]
     pub fn scheduled_dep(&self, c: ConnId) -> Time {
         self.sched_at(c.idx())
+    }
+
+    /// The connections of train `t`, ordered by hop index: entry `h` is the
+    /// train's hop `h`. Empty for a train with no connections.
+    #[inline]
+    pub fn train_connections(&self, t: TrainId) -> &[ConnId] {
+        &self.train_conns[t.idx()]
     }
 
     /// Number of stations `|S|`.
@@ -556,6 +629,7 @@ impl Timetable {
             buckets: self.buckets.iter().map(|b| Arc::new((**b).clone())).collect(),
             first_out: Arc::new((*self.first_out).clone()),
             conn_station: Arc::new((*self.conn_station).clone()),
+            train_conns: self.train_conns.iter().map(|c| Arc::new((**c).clone())).collect(),
             generation: self.generation,
         }
     }
@@ -613,6 +687,9 @@ mod tests {
         assert!(matches!(err(conn(0, 0, 0, 10)), TimetableError::SelfLoop { .. }));
         assert!(matches!(err(conn(0, 1, 10, 10)), TimetableError::ZeroDuration { .. }));
         let mut c = conn(0, 1, 0, 10);
+        c.train = TrainId(1);
+        assert!(matches!(err(c), TimetableError::UnknownTrain { .. }));
+        let mut c = conn(0, 1, 0, 10);
         c.dep = Time::hm(25, 0);
         c.arr = Time::hm(25, 10);
         assert!(matches!(
@@ -655,5 +732,104 @@ mod tests {
         };
         let tt = Timetable::new(Period::DAY, stations(2), vec![c], 1).unwrap();
         assert_eq!(tt.connection(ConnId(0)).dur(), Dur::minutes(20));
+    }
+
+    /// The pre-index way of locating a feed's trains, kept as the
+    /// reference: one scan over every bucket, then the same patch body.
+    fn patch_feed_by_scan(tt: &mut Timetable, events: &[DelayEvent]) -> FeedPatch {
+        if events.is_empty() {
+            return FeedPatch::unchanged(0);
+        }
+        let mut feed_trains: Vec<TrainId> = events.iter().map(DelayEvent::train).collect();
+        feed_trains.sort_unstable();
+        feed_trains.dedup();
+        let mut train_conns: Vec<Vec<usize>> = vec![Vec::new(); feed_trains.len()];
+        for (st, b) in tt.buckets.iter().enumerate() {
+            let lo = tt.first_out[st] as usize;
+            for (k, c) in b.conns.iter().enumerate() {
+                if let Ok(s) = feed_trains.binary_search(&c.train) {
+                    train_conns[s].push(lo + k);
+                }
+            }
+        }
+        tt.patch_located(events, &feed_trains, &train_conns)
+    }
+
+    fn feed_event() -> impl proptest::strategy::Strategy<Value = (bool, u32, u16, u32, u32)> {
+        use proptest::prelude::*;
+        // (cancel?, train, from_hop, delay min, catch-up min per hop); few
+        // distinct trains, so several events of one feed share a train.
+        (0u32..5, 0u32..6, 0u16..4, 1u32..150, 0u32..20).prop_map(
+            |(kind, train, hop, delay, catch_up)| (kind == 0, train, hop, delay, catch_up),
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 24, ..Default::default() })]
+
+        // After every random feed, entry `h` of a train's index is that
+        // train's hop `h` and the maintained index equals a fresh one, and
+        // `patch_feed` returns exactly what the bucket-scanning reference
+        // returns on an identical copy.
+        #[test]
+        fn train_index_follows_random_feeds(
+            seed in 0u64..1000,
+            feeds in proptest::collection::vec(proptest::collection::vec(feed_event(), 1..=8), 1..=6),
+        ) {
+            use crate::synthetic::city::{generate_city, CityConfig};
+            use crate::delay::Recovery;
+            use proptest::prelude::*;
+            let mut tt = generate_city(&CityConfig::sized(20, 3, seed));
+            let num_trains = tt.num_trains() as u32;
+            if num_trains == 0 {
+                return Ok(());
+            }
+            let mut reference = tt.clone();
+            for feed in feeds {
+                let events: Vec<DelayEvent> = feed
+                    .iter()
+                    .map(|&(cancel, train, from_hop, delay, catch_up)| {
+                        let train = TrainId(train * 7 % num_trains);
+                        if cancel {
+                            DelayEvent::Cancel { train }
+                        } else {
+                            DelayEvent::Delay {
+                                train,
+                                from_hop,
+                                delay: Dur::minutes(delay),
+                                recovery: if catch_up == 0 {
+                                    Recovery::None
+                                } else {
+                                    Recovery::CatchUp { per_hop: Dur::minutes(catch_up) }
+                                },
+                            }
+                        }
+                    })
+                    .collect();
+                let patch = tt.patch_feed(&events);
+                prop_assert_eq!(&patch, &patch_feed_by_scan(&mut reference, &events));
+                prop_assert_eq!(tt.connections(), reference.connections());
+
+                let mut indexed = 0;
+                for t in (0..num_trains).map(TrainId) {
+                    for (h, &c) in tt.train_connections(t).iter().enumerate() {
+                        let conn = tt.connection(c);
+                        prop_assert_eq!((conn.train, conn.seq as usize), (t, h), "index of {}", t);
+                        indexed += 1;
+                    }
+                }
+                prop_assert_eq!(indexed, tt.num_connections());
+                let fresh = Timetable::new(
+                    tt.period(),
+                    tt.stations().to_vec(),
+                    tt.connections(),
+                    num_trains,
+                )
+                .unwrap();
+                for t in (0..num_trains).map(TrainId) {
+                    prop_assert_eq!(tt.train_connections(t), fresh.train_connections(t));
+                }
+            }
+        }
     }
 }

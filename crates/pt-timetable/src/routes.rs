@@ -19,11 +19,19 @@
 //! (`dep_i(k) < arr_i(k+1)`, linearly and across the period wrap).
 //! Schedules rarely violate the dwell condition, but a `from_hop >= 1`
 //! delay stretches exactly one dwell and can manufacture it.
+//!
+//! The mirror image matters too: a rider who arrives on train `B` must be
+//! handed `B`'s own departure, so it has to be the first of the route's
+//! departures at or after `arr_i(B)` (modulo the period). A catch-up
+//! recovery that is faster than the dwell makes `B` depart *before* it
+//! arrives; if a later train `C` of the route departs in between, the
+//! model would board `C` without the transfer time. Such a train cannot
+//! share a route.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use pt_core::{ConnId, RouteId, StationId, Time, TrainId};
+use pt_core::{RouteId, StationId, Time, TrainId};
 
 use crate::delay::{DelayPatch, FeedPatch};
 use crate::model::Timetable;
@@ -48,44 +56,35 @@ impl RouteInfo {
 
 /// The route partition of a timetable.
 ///
-/// Every aggregate is individually `Arc`-shared so a clone is O(routes +
-/// trains) refcount bumps and the incremental followers
-/// ([`Routes::repatch_feed`], [`Routes::refit`]) copy-on-write only the
-/// routes and per-train lists they actually rewrite — the rest stays
-/// physically shared with any snapshot cloned earlier.
+/// Every route is individually `Arc`-shared so a clone is O(routes)
+/// refcount bumps and the incremental followers ([`Routes::repatch_feed`],
+/// [`Routes::refit`]) copy-on-write only the routes they actually rewrite —
+/// the rest stays physically shared with any snapshot cloned earlier. A
+/// train's connections are not stored here: the timetable's per-train
+/// index ([`Timetable::train_connections`]) answers that.
 #[derive(Debug, Clone)]
 pub struct Routes {
     routes: Vec<Arc<RouteInfo>>,
     /// Route of each train, indexed by [`TrainId`]. Rewritten only by
     /// [`Routes::refit`] (topology change), never by a plain repatch.
     train_route: Arc<Vec<RouteId>>,
-    /// Connections of each train ordered by hop index, indexed by [`TrainId`].
-    train_conns: Vec<Arc<Vec<ConnId>>>,
 }
 
 impl Routes {
     /// Computes the route partition. Deterministic: routes are numbered by
     /// stop sequence, then by departure of their first train.
     pub fn partition(tt: &Timetable) -> Routes {
-        // Connections of every train, ordered by hop index.
-        let mut train_conns: Vec<Vec<ConnId>> = vec![Vec::new(); tt.num_trains()];
-        for (i, c) in tt.connections().iter().enumerate() {
-            train_conns[c.train.idx()].push(ConnId::from_idx(i));
-        }
-        for conns in &mut train_conns {
-            conns.sort_unstable_by_key(|&c| tt.connection(c).seq);
+        // Group trains by stop sequence (BTreeMap for determinism).
+        let mut groups: BTreeMap<Vec<StationId>, Vec<TrainId>> = BTreeMap::new();
+        for t in 0..tt.num_trains() {
+            let conns = tt.train_connections(TrainId::from_idx(t));
+            if conns.is_empty() {
+                continue;
+            }
             debug_assert!(
                 conns.windows(2).all(|w| { tt.connection(w[0]).to == tt.connection(w[1]).from }),
                 "train journey is not contiguous"
             );
-        }
-
-        // Group trains by stop sequence (BTreeMap for determinism).
-        let mut groups: BTreeMap<Vec<StationId>, Vec<TrainId>> = BTreeMap::new();
-        for (t, conns) in train_conns.iter().enumerate() {
-            if conns.is_empty() {
-                continue;
-            }
             let mut seq = Vec::with_capacity(conns.len() + 1);
             seq.push(tt.connection(conns[0]).from);
             for &c in conns {
@@ -96,39 +95,9 @@ impl Routes {
 
         let mut routes = Vec::new();
         let mut train_route = vec![RouteId(u32::MAX); tt.num_trains()];
-        let pi = tt.period().len();
         for (stations, mut trains) in groups {
-            trains.sort_unstable_by_key(|&t| (tt.connection(train_conns[t.idx()][0]).dep, t));
-            // Greedy first-fit split into overtaking- and co-dwell-free
-            // subroutes. Per subroute: its trains, and per train the
-            // (dep, arr) legs.
-            type Subroute = (Vec<TrainId>, Vec<Vec<(Time, Time)>>);
-            let hops = stations.len() - 1;
-            let mut subroutes: Vec<Subroute> = Vec::new();
-            'train: for &t in &trains {
-                let legs: Vec<(Time, Time)> = train_conns[t.idx()]
-                    .iter()
-                    .map(|&c| {
-                        let c = tt.connection(c);
-                        (c.dep, c.arr)
-                    })
-                    .collect();
-                for (members, hop_points) in &mut subroutes {
-                    if fits(hop_points, &legs, pi) {
-                        for (h, &leg) in legs.iter().enumerate() {
-                            hop_points[h].push(leg); // `fits` admits only appends
-                        }
-                        members.push(t);
-                        continue 'train;
-                    }
-                }
-                let mut hop_points = vec![Vec::new(); hops];
-                for (h, &leg) in legs.iter().enumerate() {
-                    hop_points[h].push(leg);
-                }
-                subroutes.push((vec![t], hop_points));
-            }
-            for (members, _) in subroutes {
+            trains.sort_unstable_by_key(|&t| (first_dep(tt, t), t));
+            for members in first_fit(tt, &trains) {
                 let id = RouteId::from_idx(routes.len());
                 for &t in &members {
                     train_route[t.idx()] = id;
@@ -136,11 +105,7 @@ impl Routes {
                 routes.push(Arc::new(RouteInfo { stations: stations.clone(), trains: members }));
             }
         }
-        Routes {
-            routes,
-            train_route: Arc::new(train_route),
-            train_conns: train_conns.into_iter().map(Arc::new).collect(),
-        }
+        Routes { routes, train_route: Arc::new(train_route) }
     }
 
     /// Iterates over all routes in [`RouteId`] order.
@@ -173,18 +138,6 @@ impl Routes {
         self.train_route[t.idx()]
     }
 
-    /// The connections of a train, ordered by hop index.
-    #[inline]
-    pub fn train_connections(&self, t: TrainId) -> &[ConnId] {
-        &self.train_conns[t.idx()]
-    }
-
-    /// The connection of train `t` on hop `hop` of its route.
-    #[inline]
-    pub fn connection_at(&self, t: TrainId, hop: usize) -> ConnId {
-        self.train_conns[t.idx()][hop]
-    }
-
     /// How many routes of `self` are *physically shared* (same allocation,
     /// by refcount) with `other`. Diagnostics for the copy-on-write publish
     /// path, the route-level analogue of
@@ -193,20 +146,20 @@ impl Routes {
         self.routes.iter().zip(&other.routes).filter(|(a, b)| Arc::ptr_eq(a, b)).count()
     }
 
-    /// A fully unshared copy: every route block and train list is
-    /// reallocated (see [`Timetable::deep_clone`]).
+    /// A fully unshared copy: every route block and the train → route map
+    /// are reallocated (see [`Timetable::deep_clone`]).
     pub fn deep_clone(&self) -> Routes {
         Routes {
             routes: self.routes.iter().map(|r| Arc::new((**r).clone())).collect(),
             train_route: Arc::new((*self.train_route).clone()),
-            train_conns: self.train_conns.iter().map(|c| Arc::new((**c).clone())).collect(),
         }
     }
 
-    /// Follows a [`Timetable::patch_delay`]: rewrites every remapped
-    /// [`ConnId`] in the per-train connection lists and restores the
-    /// "trains ordered by first-stop departure" invariant on the delayed
-    /// train's route. The partition itself (which trains share a route) is
+    /// Follows a [`Timetable::patch_delay`]: restores the "trains ordered
+    /// by first-stop departure" invariant on the delayed train's route
+    /// (renumbered connection ids need no following here — the timetable's
+    /// own per-train index tracks them). The partition itself (which
+    /// trains share a route) is
     /// deliberately **not** recomputed — call [`Routes::route_is_fifo`] on
     /// the delayed route afterwards to learn whether it is still valid, and
     /// fall back to a fresh [`Routes::partition`] if not.
@@ -216,7 +169,6 @@ impl Routes {
         if !patch.changed {
             return;
         }
-        self.apply_remap(tt, &patch.remapped);
         let r = self.train_route[patch.train.idx()];
         if r != RouteId(u32::MAX) {
             self.resort_route_trains(tt, r);
@@ -224,8 +176,8 @@ impl Routes {
     }
 
     /// The multi-train analogue of [`Routes::repatch`], following a
-    /// [`Timetable::patch_feed`]: rewrites every remapped [`ConnId`] once
-    /// and restores the train order on **each** route that carries a
+    /// [`Timetable::patch_feed`]: restores the train order on **each**
+    /// route that carries a
     /// net-changed train, returning those routes sorted and deduplicated —
     /// each appears exactly once, so the caller rewrites (or refits) every
     /// touched route exactly once regardless of how many feed events hit
@@ -236,7 +188,6 @@ impl Routes {
         if !patch.changed {
             return Vec::new();
         }
-        self.apply_remap(tt, &patch.remapped);
         let mut touched: Vec<RouteId> = patch
             .trains
             .iter()
@@ -251,35 +202,12 @@ impl Routes {
         touched
     }
 
-    /// Rewrites every remapped [`ConnId`] in the per-train connection lists.
-    fn apply_remap(&mut self, tt: &Timetable, remapped: &[(ConnId, ConnId)]) {
-        if remapped.is_empty() {
-            return;
-        }
-        let map: HashMap<ConnId, ConnId> = remapped.iter().copied().collect();
-        // Trains owning a moved connection (read at the new id).
-        let mut trains: Vec<TrainId> =
-            remapped.iter().map(|&(_, n)| tt.connection(n).train).collect();
-        trains.sort_unstable();
-        trains.dedup();
-        for t in trains {
-            // Copy-on-touch: only the lists of trains that actually own a
-            // moved connection are cloned out of sharing.
-            for c in Arc::make_mut(&mut self.train_conns[t.idx()]).iter_mut() {
-                if let Some(&n) = map.get(c) {
-                    *c = n;
-                }
-            }
-        }
-    }
-
     /// Restores the "trains ordered by first-stop departure" invariant of
     /// one route.
     fn resort_route_trains(&mut self, tt: &Timetable, r: RouteId) {
-        let train_conns = &self.train_conns;
         Arc::make_mut(&mut self.routes[r.idx()])
             .trains
-            .sort_unstable_by_key(|&t| (tt.connection(train_conns[t.idx()][0]).dep, t));
+            .sort_unstable_by_key(|&t| (first_dep(tt, t), t));
     }
 
     /// Re-splits each of the given (presumed non-FIFO) routes into
@@ -287,9 +215,10 @@ impl Routes {
     /// a train overtake a companion: only the offending routes are
     /// repartitioned, every other route keeps its id and trains. The first
     /// subroute reuses the stale [`RouteId`]; extra subroutes are appended
-    /// at fresh ids (so the graph must be rebuilt afterwards — route-node
-    /// topology changed — but the partition work is proportional to the
-    /// offending routes, not the whole timetable).
+    /// at fresh ids, `len()..`. Existing ids never move, so the graph can
+    /// follow in place: `TdGraph::repatch_routes` rewrites the stale routes'
+    /// PLFs and appends the new routes' nodes and edges. The partition work
+    /// is proportional to the offending routes, not the whole timetable.
     ///
     /// Any finer-than-maximal split is a *sound* partition for the
     /// realistic time-dependent model, so queries on the refit partition
@@ -298,44 +227,16 @@ impl Routes {
     /// refit and partition share the exact same fit check, which covers the
     /// per-hop FIFO, cyclic, and co-dwell conditions.
     pub fn refit(&mut self, tt: &Timetable, stale: &[RouteId]) {
-        let pi = tt.period().len();
         for &r in stale {
             let info = &self.routes[r.idx()];
             if info.trains.len() <= 1 {
                 continue; // a single train can never overtake itself
             }
             let stations = info.stations.clone();
-            let trains = info.trains.clone();
-            let hops = stations.len() - 1;
-            type Subroute = (Vec<TrainId>, Vec<Vec<(Time, Time)>>);
-            let mut subroutes: Vec<Subroute> = Vec::new();
-            'train: for &t in &trains {
-                let legs: Vec<(Time, Time)> = self.train_conns[t.idx()]
-                    .iter()
-                    .map(|&c| {
-                        let c = tt.connection(c);
-                        (c.dep, c.arr)
-                    })
-                    .collect();
-                for (members, hop_points) in &mut subroutes {
-                    if fits(hop_points, &legs, pi) {
-                        for (h, &leg) in legs.iter().enumerate() {
-                            hop_points[h].push(leg); // `fits` admits only appends
-                        }
-                        members.push(t);
-                        continue 'train;
-                    }
-                }
-                let mut hop_points = vec![Vec::new(); hops];
-                for (h, &leg) in legs.iter().enumerate() {
-                    hop_points[h].push(leg);
-                }
-                subroutes.push((vec![t], hop_points));
-            }
-            let mut subroutes = subroutes.into_iter();
-            let (first, _) = subroutes.next().expect("a non-empty route splits non-trivially");
+            let mut subroutes = first_fit(tt, &info.trains).into_iter();
+            let first = subroutes.next().expect("a non-empty route splits non-trivially");
             Arc::make_mut(&mut self.routes[r.idx()]).trains = first;
-            for (members, _) in subroutes {
+            for members in subroutes {
                 let id = RouteId::from_idx(self.routes.len());
                 for &t in &members {
                     Arc::make_mut(&mut self.train_route)[t.idx()] = id;
@@ -352,8 +253,10 @@ impl Routes {
     /// train order, per hop, departures strictly increasing and arrivals
     /// strictly increasing; no arrival a full period (or more) after the
     /// hop's earliest (the cyclic condition of [`pt_core::Plf::is_fifo`]);
-    /// and at every intermediate station each train departs strictly before
-    /// its successor arrives — linearly and across the period wrap.
+    /// at every intermediate station each train departs strictly before
+    /// its successor arrives — linearly and across the period wrap; and
+    /// each train's own departure is the first of the route's departures
+    /// at or after its arrival, modulo the period.
     /// [`Routes::partition`] and [`Routes::refit`] guarantee all of this by
     /// construction; a delay can break any of it, at which point the
     /// offending routes must be refit.
@@ -365,7 +268,7 @@ impl Routes {
         for hop in 0..info.num_hops() {
             legs.clear();
             legs.extend(info.trains.iter().map(|&t| {
-                let c = tt.connection(self.connection_at(t, hop));
+                let c = tt.connection(tt.train_connections(t)[hop]);
                 (c.dep, c.arr)
             }));
             // Checked in *train order*, not sorted: sorting per hop would
@@ -391,11 +294,64 @@ impl Routes {
                         return false;
                     }
                 }
+                // Each train against the departure circularly before its
+                // own (the last train's, for the first).
+                let n = legs.len();
+                if n > 1
+                    && !(0..n).all(|k| {
+                        let prev = legs[(k + n - 1) % n].0;
+                        own_departure_first(prev_legs[k].1, legs[k].0, prev, pi)
+                    })
+                {
+                    return false;
+                }
             }
             std::mem::swap(&mut prev_legs, &mut legs);
         }
         true
     }
+}
+
+/// Greedy first-fit split of `trains` (ordered by first departure, all on
+/// one stop sequence) into subroutes that each pass
+/// [`Routes::route_is_fifo`]: each train joins the first subroute it
+/// [`fits`], or opens a new one.
+fn first_fit(tt: &Timetable, trains: &[TrainId]) -> Vec<Vec<TrainId>> {
+    let pi = tt.period().len();
+    // Per subroute: its trains, and per hop the (dep, arr) of each.
+    type Subroute = (Vec<TrainId>, Vec<Vec<(Time, Time)>>);
+    let mut subroutes: Vec<Subroute> = Vec::new();
+    'train: for &t in trains {
+        let legs = train_legs(tt, t);
+        for (members, hop_points) in &mut subroutes {
+            if fits(hop_points, &legs, pi) {
+                for (h, &leg) in legs.iter().enumerate() {
+                    hop_points[h].push(leg); // `fits` admits only appends
+                }
+                members.push(t);
+                continue 'train;
+            }
+        }
+        let hop_points = legs.iter().map(|&leg| vec![leg]).collect();
+        subroutes.push((vec![t], hop_points));
+    }
+    subroutes.into_iter().map(|(members, _)| members).collect()
+}
+
+/// Departure of train `t` at its first stop.
+fn first_dep(tt: &Timetable, t: TrainId) -> Time {
+    tt.connection(tt.train_connections(t)[0]).dep
+}
+
+/// The `(dep, arr)` of each hop of train `t`, in hop order.
+fn train_legs(tt: &Timetable, t: TrainId) -> Vec<(Time, Time)> {
+    tt.train_connections(t)
+        .iter()
+        .map(|&c| {
+            let c = tt.connection(c);
+            (c.dep, c.arr)
+        })
+        .collect()
 }
 
 /// Can `legs` join the subroute as its new *last* train? Candidates are
@@ -406,7 +362,9 @@ impl Routes {
 /// period of the hop's earliest; and at the station the hop departs from
 /// (intermediate stations only) the current last train leaves strictly
 /// before the newcomer arrives, while the newcomer leaves strictly before
-/// the first train's next-period arrival.
+/// the first train's next-period arrival; and the newcomer and the first
+/// train (whose circular predecessor the newcomer becomes) each reach
+/// their own departure first.
 fn fits(hop_points: &[Vec<(Time, Time)>], legs: &[(Time, Time)], pi: u32) -> bool {
     let pi = pi as u64;
     legs.iter().enumerate().all(|(h, &(dep, arr))| {
@@ -428,9 +386,23 @@ fn fits(hop_points: &[Vec<(Time, Time)>], legs: &[(Time, Time)], pi: u32) -> boo
             if dep.secs() as u64 >= hop_points[h - 1][0].1.secs() as u64 + pi {
                 return false; // we'd still be there when the first train wraps
             }
+            if !own_departure_first(legs[h - 1].1, dep, last.0, pi)
+                || !own_departure_first(hop_points[h - 1][0].1, first.0, dep, pi)
+            {
+                return false; // a rider arriving on one would board the other
+            }
         }
         true
     })
+}
+
+/// At an intermediate station, does a rider arriving at `arr` (absolute)
+/// on a train reach that train's departure `dep` before `prev_dep`, the
+/// route's departure circularly before it? Both waits run from the arrival,
+/// modulo the period `pi`.
+fn own_departure_first(arr: Time, dep: Time, prev_dep: Time, pi: u64) -> bool {
+    let wait = |d: Time| (d.secs() as u64 % pi + pi - arr.secs() as u64 % pi) % pi;
+    wait(dep) < wait(prev_dep)
 }
 
 #[cfg(test)]
@@ -500,14 +472,12 @@ mod tests {
         let s: Vec<_> = (0..4).map(|i| b.add_named_station(format!("{i}"), Dur::ZERO)).collect();
         line(&mut b, &[s[0], s[1], s[2], s[3]], &[Time::hm(6, 0)], Dur::minutes(5));
         let tt = b.build().unwrap();
-        let routes = Routes::partition(&tt);
-        let conns = routes.train_connections(TrainId(0));
+        let conns = tt.train_connections(TrainId(0));
         assert_eq!(conns.len(), 3);
         for (h, &c) in conns.iter().enumerate() {
             assert_eq!(tt.connection(c).seq as usize, h);
             assert_eq!(tt.connection(c).from, s[h]);
         }
-        assert_eq!(routes.connection_at(TrainId(0), 2), conns[2]);
     }
 
     #[test]
@@ -525,7 +495,7 @@ mod tests {
         routes.repatch(&tt, &patch);
         // train_connections point at the right (train, hop) again.
         for t in [TrainId(0), TrainId(1)] {
-            for (h, &c) in routes.train_connections(t).iter().enumerate() {
+            for (h, &c) in tt.train_connections(t).iter().enumerate() {
                 assert_eq!(tt.connection(c).train, t);
                 assert_eq!(tt.connection(c).seq as usize, h);
             }
@@ -608,7 +578,7 @@ mod tests {
         // Per-train lists point at the right (train, hop) again, and every
         // touched route's trains are re-sorted by first-stop departure.
         for t in [TrainId(0), TrainId(1), TrainId(2)] {
-            for (h, &c) in routes.train_connections(t).iter().enumerate() {
+            for (h, &c) in tt.train_connections(t).iter().enumerate() {
                 assert_eq!(tt.connection(c).train, t);
                 assert_eq!(tt.connection(c).seq as usize, h);
             }

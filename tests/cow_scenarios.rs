@@ -206,3 +206,54 @@ fn table_rows_unshare_exactly_when_rewritten() {
         }
     }
 }
+
+/// An overtaking feed splices the refit route into the graph instead of
+/// rebuilding it: the graph topology is replaced (route nodes were
+/// appended), but every PLF of a route the feed did not touch stays
+/// physically shared with the previous snapshot.
+#[test]
+fn overtaking_publish_shares_every_untouched_plf() {
+    let net = Network::new(generate_city(&CityConfig::sized(40, 5, 7)));
+    let cnet = ConcurrentNetwork::new(net);
+    let before = cnet.snapshot();
+    let (tt, routes) = (before.timetable(), before.routes());
+    // Land a route's first train on its second train's departure: equal
+    // departures break FIFO on that route and nowhere else.
+    let (route, first, second) = (0..routes.len())
+        .map(RouteId::from_idx)
+        .find_map(|r| match routes.route(r).trains[..] {
+            [a, b, ..] => Some((r, a, b)),
+            _ => None,
+        })
+        .expect("some route runs two trains");
+    let dep = |t: TrainId| tt.connection(tt.train_connections(t)[0]).dep;
+    let outcome = cnet.apply_feed(&[DelayEvent::Delay {
+        train: first,
+        from_hop: 0,
+        delay: dep(second) - dep(first),
+        recovery: Recovery::None,
+    }]);
+    assert!(outcome.summary.rebuilt(), "equal departures must take the overtaking fallback");
+    assert_eq!((outcome.summary.touched_routes, outcome.summary.refit_routes), (1, 1));
+    let after = cnet.snapshot();
+
+    let plfs_before: usize = routes.iter_routes().map(|r| r.num_hops()).sum();
+    let rewritten = routes.route(route).num_hops();
+    let (shared_plfs, topo_shared) = after.graph().shared_plfs_with(before.graph());
+    assert!(!topo_shared, "the split route's nodes were appended");
+    assert_eq!(
+        shared_plfs,
+        plfs_before - rewritten,
+        "only the {rewritten} PLFs of the refit route may be unshared"
+    );
+    assert!(after.routes().len() > routes.len());
+
+    // The spliced snapshot answers like a rebuild.
+    let rebuilt = Network::build(after.timetable());
+    let engine = ProfileEngine::new();
+    let n = after.num_stations() as u32;
+    for k in 0..3u32 {
+        let s = StationId(k * n / 3);
+        assert_eq!(engine.one_to_all(&after, s), engine.one_to_all(&rebuilt, s), "from {s}");
+    }
+}
