@@ -20,13 +20,15 @@
 //! Schedules rarely violate the dwell condition, but a `from_hop >= 1`
 //! delay stretches exactly one dwell and can manufacture it.
 //!
-//! The mirror image matters too: a rider who arrives on train `B` must be
-//! handed `B`'s own departure, so it has to be the first of the route's
-//! departures at or after `arr_i(B)` (modulo the period). A catch-up
-//! recovery that is faster than the dwell makes `B` depart *before* it
-//! arrives; if a later train `C` of the route departs in between, the
-//! model would board `C` without the transfer time. Such a train cannot
-//! share a route.
+//! The mirror image matters too: a rider who stays on the route node after
+//! arriving on train `B` is handed the first of the route's departures at
+//! or after `arr_i(B)` (modulo the period). That must be `B`'s own, or one
+//! at least the station's transfer time `T(S_i)` later — which the rider
+//! could reach by changing trains anyway. A catch-up recovery that is
+//! faster than the dwell makes `B` depart *before* it arrives; if another
+//! train `C` of the route departs less than `T(S_i)` after `B` arrives,
+//! the model would board `C` without the transfer time, so `B` and `C`
+//! cannot share a route.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -97,7 +99,7 @@ impl Routes {
         let mut train_route = vec![RouteId(u32::MAX); tt.num_trains()];
         for (stations, mut trains) in groups {
             trains.sort_unstable_by_key(|&t| (first_dep(tt, t), t));
-            for members in first_fit(tt, &trains) {
+            for members in first_fit(tt, &stations, &trains) {
                 let id = RouteId::from_idx(routes.len());
                 for &t in &members {
                     train_route[t.idx()] = id;
@@ -233,7 +235,7 @@ impl Routes {
                 continue; // a single train can never overtake itself
             }
             let stations = info.stations.clone();
-            let mut subroutes = first_fit(tt, &info.trains).into_iter();
+            let mut subroutes = first_fit(tt, &stations, &info.trains).into_iter();
             let first = subroutes.next().expect("a non-empty route splits non-trivially");
             Arc::make_mut(&mut self.routes[r.idx()]).trains = first;
             for members in subroutes {
@@ -255,8 +257,9 @@ impl Routes {
     /// hop's earliest (the cyclic condition of [`pt_core::Plf::is_fifo`]);
     /// at every intermediate station each train departs strictly before
     /// its successor arrives — linearly and across the period wrap; and
-    /// each train's own departure is the first of the route's departures
-    /// at or after its arrival, modulo the period.
+    /// the first of the route's departures at or after a train's arrival
+    /// (modulo the period) is the train's own or at least the station's
+    /// transfer time later.
     /// [`Routes::partition`] and [`Routes::refit`] guarantee all of this by
     /// construction; a delay can break any of it, at which point the
     /// offending routes must be refit.
@@ -294,13 +297,15 @@ impl Routes {
                         return false;
                     }
                 }
-                // Each train against the departure circularly before its
-                // own (the last train's, for the first).
+                // The departure a rider staying on board is handed: the
+                // first at or after the arrival (departures are sorted).
                 let n = legs.len();
+                let transfer = tt.transfer_time(info.stations[hop]).secs() as u64;
                 if n > 1
                     && !(0..n).all(|k| {
-                        let prev = legs[(k + n - 1) % n].0;
-                        own_departure_first(prev_legs[k].1, legs[k].0, prev, pi)
+                        let arr = prev_legs[k].1.secs() as u64;
+                        let next = legs.partition_point(|l| (l.0.secs() as u64) < arr % pi) % n;
+                        next == k || wait(arr, legs[next].0, pi) >= transfer
                     })
                 {
                     return false;
@@ -313,29 +318,111 @@ impl Routes {
 }
 
 /// Greedy first-fit split of `trains` (ordered by first departure, all on
-/// one stop sequence) into subroutes that each pass
+/// the stop sequence `stations`) into subroutes that each pass
 /// [`Routes::route_is_fifo`]: each train joins the first subroute it
 /// [`fits`], or opens a new one.
-fn first_fit(tt: &Timetable, trains: &[TrainId]) -> Vec<Vec<TrainId>> {
-    let pi = tt.period().len();
-    // Per subroute: its trains, and per hop the (dep, arr) of each.
-    type Subroute = (Vec<TrainId>, Vec<Vec<(Time, Time)>>);
+fn first_fit(tt: &Timetable, stations: &[StationId], trains: &[TrainId]) -> Vec<Vec<TrainId>> {
+    let pi = tt.period().len() as u64;
+    let transfer: Vec<u64> = stations.iter().map(|&s| tt.transfer_time(s).secs() as u64).collect();
     let mut subroutes: Vec<Subroute> = Vec::new();
     'train: for &t in trains {
         let legs = train_legs(tt, t);
-        for (members, hop_points) in &mut subroutes {
-            if fits(hop_points, &legs, pi) {
-                for (h, &leg) in legs.iter().enumerate() {
-                    hop_points[h].push(leg); // `fits` admits only appends
-                }
-                members.push(t);
+        for sub in &mut subroutes {
+            if sub.fits(&legs, pi, &transfer) {
+                sub.push(t, &legs, pi);
                 continue 'train;
             }
         }
+        let wrap = (0..legs.len())
+            .map(|h| if h == 0 { Vec::new() } else { vec![legs[h - 1].1.secs() as u64 % pi] })
+            .collect();
         let hop_points = legs.iter().map(|&leg| vec![leg]).collect();
-        subroutes.push((vec![t], hop_points));
+        subroutes.push(Subroute { members: vec![t], hop_points, wrap });
     }
-    subroutes.into_iter().map(|(members, _)| members).collect()
+    subroutes.into_iter().map(|sub| sub.members).collect()
+}
+
+/// A subroute being grown by [`first_fit`].
+struct Subroute {
+    members: Vec<TrainId>,
+    /// Per hop, the `(dep, arr)` of each member, in member order.
+    hop_points: Vec<Vec<(Time, Time)>>,
+    /// Per hop, the arrivals (period-local seconds) at the hop's departure
+    /// station that are handed the first member's departure one period on
+    /// — the only arrivals a newcomer's departure can come before.
+    wrap: Vec<Vec<u64>>,
+}
+
+impl Subroute {
+    /// Can `legs` join as the new *last* train? Candidates are scanned in
+    /// order of first-hop departure, so a train that joins always appends,
+    /// on every hop. Enforces, per hop, everything
+    /// [`Routes::route_is_fifo`] later checks: the newcomer departs and
+    /// arrives strictly after the current last train; its arrival stays
+    /// within one period of the hop's earliest; and at the station the hop
+    /// departs from (intermediate stations only) the current last train
+    /// leaves strictly before the newcomer arrives, the newcomer leaves
+    /// strictly before the first train's next-period arrival, and neither
+    /// the newcomer nor an earlier arrival handed its departure gets
+    /// another train sooner than the transfer time `transfer[h]`.
+    fn fits(&self, legs: &[(Time, Time)], pi: u64, transfer: &[u64]) -> bool {
+        legs.iter().enumerate().all(|(h, &(dep, arr))| {
+            let points = &self.hop_points[h];
+            let (first, last) = (points[0], points[points.len() - 1]);
+            if dep <= last.0 || arr <= last.1 {
+                return false; // would not extend the hop's strict FIFO order
+            }
+            if arr.secs() as u64 >= first.1.secs() as u64 + pi {
+                return false; // cyclic: arrival a full period after the earliest
+            }
+            if h == 0 {
+                return true;
+            }
+            // No catchable co-dwell at the station this hop departs from.
+            if last.0 >= legs[h - 1].1 {
+                return false; // current last train still there when we arrive
+            }
+            if dep.secs() as u64 >= self.hop_points[h - 1][0].1.secs() as u64 + pi {
+                return false; // we'd still be there when the first train wraps
+            }
+            // Handed another train than our own, sooner than a change?
+            let arr = legs[h - 1].1.secs() as u64;
+            let next = points.partition_point(|p| (p.0.secs() as u64) < arr % pi);
+            let other = wait(arr, points.get(next).unwrap_or(&first).0, pi);
+            if other < wait(arr, dep, pi) && other < transfer[h] {
+                return false;
+            }
+            // Arrivals that were handed the first train's next-period
+            // departure and now get ours first.
+            !self.wrap[h].iter().any(|&a| {
+                let ours = wait(a, dep, pi);
+                ours < wait(a, first.0, pi) && ours < transfer[h]
+            })
+        })
+    }
+
+    /// Appends train `t` with `legs`, which [`Subroute::fits`] admitted.
+    fn push(&mut self, t: TrainId, legs: &[(Time, Time)], pi: u64) {
+        for (h, &leg) in legs.iter().enumerate() {
+            if h > 0 {
+                let first = self.hop_points[h][0].0;
+                let wrap = &mut self.wrap[h];
+                wrap.retain(|&a| wait(a, first, pi) < wait(a, leg.0, pi));
+                let arr = legs[h - 1].1.secs() as u64;
+                if wait(arr, first, pi) < wait(arr, leg.0, pi) {
+                    wrap.push(arr % pi);
+                }
+            }
+            self.hop_points[h].push(leg);
+        }
+        self.members.push(t);
+    }
+}
+
+/// The wait from an arrival at `arr` seconds (absolute) until the
+/// period-local departure `dep`, modulo the period `pi`.
+fn wait(arr: u64, dep: Time, pi: u64) -> u64 {
+    (dep.secs() as u64 % pi + pi - arr % pi) % pi
 }
 
 /// Departure of train `t` at its first stop.
@@ -352,57 +439,6 @@ fn train_legs(tt: &Timetable, t: TrainId) -> Vec<(Time, Time)> {
             (c.dep, c.arr)
         })
         .collect()
-}
-
-/// Can `legs` join the subroute as its new *last* train? Candidates are
-/// scanned in order of first-hop departure, so a train that joins always
-/// appends, on every hop. Enforces, per hop, everything
-/// [`Routes::route_is_fifo`] later checks: the newcomer departs and arrives
-/// strictly after the current last train; its arrival stays within one
-/// period of the hop's earliest; and at the station the hop departs from
-/// (intermediate stations only) the current last train leaves strictly
-/// before the newcomer arrives, while the newcomer leaves strictly before
-/// the first train's next-period arrival; and the newcomer and the first
-/// train (whose circular predecessor the newcomer becomes) each reach
-/// their own departure first.
-fn fits(hop_points: &[Vec<(Time, Time)>], legs: &[(Time, Time)], pi: u32) -> bool {
-    let pi = pi as u64;
-    legs.iter().enumerate().all(|(h, &(dep, arr))| {
-        let points = &hop_points[h];
-        let (Some(&first), Some(&last)) = (points.first(), points.last()) else {
-            return true;
-        };
-        if dep <= last.0 || arr <= last.1 {
-            return false; // would not extend the hop's strict FIFO order
-        }
-        if arr.secs() as u64 >= first.1.secs() as u64 + pi {
-            return false; // cyclic: arrival a full period after the earliest
-        }
-        if h > 0 {
-            // No catchable co-dwell at the station this hop departs from.
-            if last.0 >= legs[h - 1].1 {
-                return false; // current last train still there when we arrive
-            }
-            if dep.secs() as u64 >= hop_points[h - 1][0].1.secs() as u64 + pi {
-                return false; // we'd still be there when the first train wraps
-            }
-            if !own_departure_first(legs[h - 1].1, dep, last.0, pi)
-                || !own_departure_first(hop_points[h - 1][0].1, first.0, dep, pi)
-            {
-                return false; // a rider arriving on one would board the other
-            }
-        }
-        true
-    })
-}
-
-/// At an intermediate station, does a rider arriving at `arr` (absolute)
-/// on a train reach that train's departure `dep` before `prev_dep`, the
-/// route's departure circularly before it? Both waits run from the arrival,
-/// modulo the period `pi`.
-fn own_departure_first(arr: Time, dep: Time, prev_dep: Time, pi: u64) -> bool {
-    let wait = |d: Time| (d.secs() as u64 % pi + pi - arr.secs() as u64 % pi) % pi;
-    wait(dep) < wait(prev_dep)
 }
 
 #[cfg(test)]

@@ -549,39 +549,43 @@ fn workspaces_stay_warm_across_a_feed() {
 #[test]
 fn catch_up_faster_than_the_dwell_splits_the_route() {
     use best_connections::spcs::time_query::earliest_arrival;
-    // Two trains X → Y → Z on one route; changing trains at Y takes 20 min.
-    let mut b = TimetableBuilder::new(Period::DAY);
-    let x = b.add_named_station("X", Dur::ZERO);
-    let y = b.add_named_station("Y", Dur::minutes(20));
-    let z = b.add_named_station("Z", Dur::ZERO);
-    let legs = [Dur::minutes(10), Dur::minutes(10)];
-    for m in [0, 30] {
-        b.add_simple_trip(&[x, y, z], Time::hm(8, m), &legs, Dur::ZERO).unwrap();
-    }
-    let mut net = Network::new(b.build().unwrap());
-    assert_eq!(net.routes().route_of(TrainId(0)), net.routes().route_of(TrainId(1)));
+    // Two trains X → Y → Z on one route. Each is late on its first hop
+    // only, and its catch-up is faster than its dwell at Y: train 0
+    // arrives at Y at 08:25 but leaves at 08:10; train 1 arrives at 09:00
+    // but leaves at 08:40. Every hop stays FIFO, and a rider staying on
+    // board after train 0 is handed train 1's 08:40 departure. With a
+    // 20 min change at Y that is a free transfer no timetable allows, so
+    // the trains must split; with a 10 min change the rider could make it
+    // anyway, so they may keep sharing the route.
+    for (change_min, split) in [(20, true), (10, false)] {
+        let mut b = TimetableBuilder::new(Period::DAY);
+        let x = b.add_named_station("X", Dur::ZERO);
+        let y = b.add_named_station("Y", Dur::minutes(change_min));
+        let z = b.add_named_station("Z", Dur::ZERO);
+        let legs = [Dur::minutes(10), Dur::minutes(10)];
+        for m in [0, 30] {
+            b.add_simple_trip(&[x, y, z], Time::hm(8, m), &legs, Dur::ZERO).unwrap();
+        }
+        let mut net = Network::new(b.build().unwrap());
+        assert_eq!(net.routes().route_of(TrainId(0)), net.routes().route_of(TrainId(1)));
 
-    // Each train is late on its first hop only, and its catch-up is faster
-    // than its dwell at Y: train 0 arrives at Y at 08:25 but leaves at
-    // 08:10; train 1 arrives at 09:00 but leaves at 08:40. Every hop is
-    // still FIFO, yet a rider arriving on train 0 must not be handed train
-    // 1's 08:40 departure without the 20 min change.
-    let catch_up = |train: u32, min: u32| DelayEvent::Delay {
-        train: TrainId(train),
-        from_hop: 0,
-        delay: Dur::minutes(min),
-        recovery: Recovery::CatchUp { per_hop: Dur::minutes(min) },
-    };
-    let summary = net.apply_feed(&[catch_up(0, 15), catch_up(1, 20)]);
-    assert!(summary.rebuilt(), "the shared route must be refit: {summary:?}");
-    assert_ne!(net.routes().route_of(TrainId(0)), net.routes().route_of(TrainId(1)));
-    assert!(
-        earliest_arrival(&net, x, Time::hm(8, 15), z) > Time::hm(8, 50),
-        "no train reaches Z by 08:50 from X at 08:15"
-    );
-    let rebuilt = Network::build(net.timetable());
-    let engine = ProfileEngine::new();
-    for s in [x, y, z] {
-        assert_eq!(engine.one_to_all(&net, s), engine.one_to_all(&rebuilt, s), "from {s}");
+        let catch_up = |train: u32, min: u32| DelayEvent::Delay {
+            train: TrainId(train),
+            from_hop: 0,
+            delay: Dur::minutes(min),
+            recovery: Recovery::CatchUp { per_hop: Dur::minutes(min) },
+        };
+        let summary = net.apply_feed(&[catch_up(0, 15), catch_up(1, 20)]);
+        assert_eq!(summary.rebuilt(), split, "change {change_min} min: {summary:?}");
+        let shared = net.routes().route_of(TrainId(0)) == net.routes().route_of(TrainId(1));
+        assert_eq!(shared, !split);
+        // Z by 08:50 from X at 08:15 only by changing at Y within 15 min.
+        let arr = earliest_arrival(&net, x, Time::hm(8, 15), z);
+        assert_eq!(arr <= Time::hm(8, 50), !split, "change {change_min} min: arrival {arr}");
+        let rebuilt = Network::build(net.timetable());
+        let engine = ProfileEngine::new();
+        for s in [x, y, z] {
+            assert_eq!(engine.one_to_all(&net, s), engine.one_to_all(&rebuilt, s), "from {s}");
+        }
     }
 }
